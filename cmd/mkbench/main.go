@@ -407,6 +407,10 @@ func main() {
 	if *jsonOut != "" {
 		headline["wall_seconds_total"] = round3(time.Since(start).Seconds())
 		headline["parallel"] = float64(harness.Parallelism())
+		// Wall-clock figures only compare across runs on the same host
+		// shape, so every JSON records it.
+		headline["host.cores"] = float64(runtime.NumCPU())
+		headline["host.gomaxprocs"] = float64(runtime.GOMAXPROCS(0))
 		out := map[string]any{"metrics": exptMetrics}
 		for k, v := range headline {
 			out[k] = v

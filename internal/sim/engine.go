@@ -1,11 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation engine with
 // a virtual clock measured in CPU cycles.
 //
-// Simulated activities run as Procs: each Proc is backed by a goroutine, but
-// the engine guarantees that at most one Proc executes at a time and that all
-// wakeups are ordered by (virtual time, schedule sequence). Simulation state
-// shared between Procs therefore needs no locking, and runs are bit-for-bit
-// reproducible for a given seed.
+// Simulated activities run as Procs: each Proc is a coroutine (iter.Pull)
+// that the engine resumes from a single event loop, so at most one Proc
+// executes at a time and all wakeups are ordered by (virtual time, schedule
+// sequence). Simulation state shared between Procs therefore needs no
+// locking, and runs are bit-for-bit reproducible for a given seed.
 //
 // The engine is the substrate for every hardware and OS model in this
 // repository: cores, caches, interconnect links, CPU drivers, monitors and
@@ -17,16 +17,21 @@
 //     container/heap interface boxing),
 //   - dispatched events return to a free list, so steady-state scheduling
 //     performs no heap allocation,
-//   - After callbacks run inline in the dispatching goroutine and never touch
-//     the proc machinery, and
-//   - control transfers between procs are a single channel handoff: the
-//     yielding goroutine itself dispatches the next event and resumes the
-//     next proc directly, instead of bouncing through a central scheduler
-//     goroutine (which would cost two handoffs per event).
+//   - After callbacks run inline in the event loop and never touch the proc
+//     machinery,
+//   - control transfers between the loop and a proc are a direct coroutine
+//     switch: the goroutine that called Run or RunUntil pops each event and
+//     resumes its proc, which yields straight back — no channel and no
+//     scheduler round trip, and
+//   - a Sleep whose wakeup would be the very next event dispatched skips the
+//     switch altogether: it advances the clock in place, with the same
+//     sequence and heap-depth bookkeeping a scheduled wakeup would have left
+//     (see Proc.Sleep for the exactness rule).
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 
@@ -130,9 +135,8 @@ type Engine struct {
 	events  eventQueue
 	free    *event // recycled events; makes steady-state scheduling zero-alloc
 	procs   map[*Proc]struct{}
-	running *Proc
-	driver  chan struct{} // returns the baton to the Run/Close caller
-	limit   Time          // dispatch boundary (RunUntil), or ^Time(0)
+	running *Proc // proc being resumed by the event loop, or nil
+	limit   Time  // dispatch boundary (RunUntil), or ^Time(0)
 	rng     *RNG
 	perturb PerturbFunc // schedule-exploration hook, or nil (the default)
 	stopped bool
@@ -160,11 +164,10 @@ type Engine struct {
 // NewEngine returns an engine with its clock at zero and the given RNG seed.
 func NewEngine(seed uint64) *Engine {
 	e := &Engine{
-		procs:  make(map[*Proc]struct{}),
-		driver: make(chan struct{}, 1),
-		limit:  ^Time(0),
-		rng:    NewRNG(seed),
-		met:    metrics.NewRegistry(),
+		procs: make(map[*Proc]struct{}),
+		limit: ^Time(0),
+		rng:   NewRNG(seed),
+		met:   metrics.NewRegistry(),
 	}
 	// Dispatched is derived, not counted: every event ever scheduled (seq)
 	// is either still in the heap or has been popped by the dispatch loop —
@@ -287,49 +290,45 @@ func (e *Engine) scheduleArgsAt(at Time, hfn func(a, b uint64), a, b uint64) {
 func (e *Engine) After(d Time, fn func()) { e.schedule(d, nil, fn) }
 
 // Spawn creates a new Proc executing fn and schedules it to start at the
-// current virtual time. fn runs in its own goroutine under engine control.
+// current virtual time. fn runs as a coroutine that only the engine's event
+// loop resumes. A panic inside fn (other than the engine's own kill unwind)
+// is re-raised, with the proc's name and virtual time, out of the Run,
+// RunUntil or Close call that resumed the proc.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextID++
-	p := &Proc{e: e, id: e.nextID, name: name, resume: make(chan struct{}, 1)}
+	p := &Proc{e: e, id: e.nextID, name: name}
 	e.procs[p] = struct{}{}
-	go func() {
-		<-p.resume
+	// iter.Pull's stop is not kept: Close and Kill release a coroutine by
+	// resuming it with the kill flag set, so it unwinds through its defers.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			r := recover()
 			p.done = true
 			delete(e.procs, p)
 			if r != nil && r != errKilled {
-				// A genuine panic inside simulated code: crash loudly so the
-				// bug is visible, after releasing the engine.
-				go func() { panic(fmt.Sprintf("sim: proc %q panicked at t=%d: %v", p.name, e.now, r)) }()
+				// A genuine panic inside simulated code: iter.Pull carries
+				// it out of the next call, so the caller of Run sees it.
+				panic(fmt.Sprintf("sim: proc %q panicked at t=%d: %v", p.name, e.now, r))
 			}
-			// The exiting goroutine holds the baton: pass it to the next
-			// runnable proc, or back to the driver.
-			e.exitDispatch()
 		}()
 		if p.killed {
 			panic(errKilled)
 		}
 		fn(p)
-	}()
+	})
 	e.schedule(0, p, nil)
 	return p
 }
 
-// dispatch is the scheduler loop, executed by whichever goroutine currently
-// holds the control baton (the Run caller, or a proc that is yielding or
-// exiting). It runs engine callbacks inline and, on reaching a proc event,
-// hands the baton to that proc with a single channel send and reports true.
-// It reports false when the run is over (queue empty or past the limit,
-// Stop called, or the engine closing), leaving the baton with the caller.
-func (e *Engine) dispatch() bool {
-	e.running = nil
+// runLoop is the event loop, run by the goroutine that called Run or
+// RunUntil. It runs engine callbacks inline and resumes each proc event's
+// coroutine until that proc yields or exits. It returns when the queue is
+// empty or past the limit, Stop was called, or the engine is closing.
+func (e *Engine) runLoop() {
 	for !e.stopped && !e.closing {
-		if len(e.events) == 0 {
-			return false
-		}
-		if e.events[0].at > e.limit {
-			return false
+		if len(e.events) == 0 || e.events[0].at > e.limit {
+			return
 		}
 		ev := e.events.pop()
 		if ev.at < e.now {
@@ -339,7 +338,7 @@ func (e *Engine) dispatch() bool {
 		p, fn, hfn, a, b := ev.p, ev.fn, ev.hfn, ev.a, ev.b
 		e.releaseEvent(ev)
 		if fn != nil {
-			fn() // engine-context fast path: no handoff
+			fn() // engine-context fast path: no switch
 			continue
 		}
 		if hfn != nil {
@@ -349,31 +348,12 @@ func (e *Engine) dispatch() bool {
 		if p.done {
 			continue // stale wakeup
 		}
-		// A killed proc is still resumed: its goroutine must run once more
-		// to unwind via the errKilled panic and release itself.
+		// A killed proc is still resumed: it must run once more to unwind
+		// via the errKilled panic and release itself.
 		e.running = p
-		p.resume <- struct{}{}
-		return true
+		p.next()
+		e.running = nil
 	}
-	return false
-}
-
-// exitDispatch passes the baton on when a proc yields or exits: either to
-// the next runnable proc via dispatch, or back to the driver.
-func (e *Engine) exitDispatch() {
-	if !e.dispatch() {
-		e.driver <- struct{}{}
-	}
-}
-
-// runLoop drives dispatch from the caller's (driver's) context and blocks
-// until the run is over.
-func (e *Engine) runLoop() {
-	if e.dispatch() {
-		// The baton is with a proc; wait for it to come back.
-		<-e.driver
-	}
-	e.running = nil
 }
 
 // Run processes events until the event queue is empty or Stop is called.
@@ -414,9 +394,10 @@ func (e *Engine) Deadlocked() []string {
 	return out
 }
 
-// Close terminates all live procs, releasing their goroutines. The engine
+// Close terminates all live procs, releasing their coroutines. The engine
 // must not be used afterwards. Victims are killed in ascending id order so
-// shutdown is deterministic.
+// shutdown is deterministic: each is resumed once with its kill flag set, and
+// unwinds at the yield it was suspended in (or at entry, if it never ran).
 func (e *Engine) Close() {
 	e.closing = true
 	victims := make([]*Proc, 0, len(e.procs))
@@ -429,8 +410,7 @@ func (e *Engine) Close() {
 			continue
 		}
 		v.killed = true
-		v.resume <- struct{}{}
-		<-e.driver
+		v.next()
 	}
 	e.flushTelemetry()
 }
@@ -452,7 +432,7 @@ func (e *Engine) flushTelemetry() {
 }
 
 // Kill fail-stops p at the current virtual time: no further simulated code of
-// p runs, and its goroutine is released deterministically. It may be called
+// p runs, and its coroutine is released deterministically. It may be called
 // from another Proc or from an engine callback (a fault injector timer); a
 // proc may also kill itself, in which case it exits at its next yield. Killing
 // a proc that is already dead is a no-op. Procs blocked on a channel or lock

@@ -7,8 +7,7 @@ import (
 )
 
 // waitGoroutines polls until the live goroutine count drops to at most bound,
-// giving freshly unwound proc goroutines a moment to exit (the last victim's
-// goroutine hands the baton back before its final return).
+// giving any goroutine that is still exiting a moment to finish.
 func waitGoroutines(t *testing.T, bound int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -91,20 +90,26 @@ func TestKillIsIdempotent(t *testing.T) {
 }
 
 // TestSelfKillUnwindsAtNextYield: a proc killing itself keeps running until
-// its next yield point, then unwinds.
+// its next yield point, then unwinds there without its clock advancing.
 func TestSelfKillUnwindsAtNextYield(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Close()
 	reachedYield := false
+	unwound := Time(0)
 	e.Spawn("suicidal", func(p *Proc) {
+		p.Sleep(5)
+		defer func() { unwound = p.Now() }()
 		e.Kill(p)
 		reachedYield = true // code before the yield still runs
-		p.Sleep(1)
+		p.Sleep(1000)
 		t.Error("self-killed proc survived its yield")
 	})
 	e.Run()
 	if !reachedYield {
 		t.Fatal("self-kill pre-empted straight-line code")
+	}
+	if unwound != 5 {
+		t.Fatalf("proc unwound at t=%d, want 5", unwound)
 	}
 	e.CheckQuiesced()
 }

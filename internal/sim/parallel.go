@@ -285,7 +285,9 @@ func (pe *ParallelEngine) run(limit Time) {
 }
 
 // Run processes events in all partitions until every heap is empty or Stop
-// is called.
+// is called. A proc panic surfaces out of Run as on a serial Engine only when
+// workers is 1; with more workers the proc is resumed on a pool goroutine,
+// where the re-raised panic is unrecoverable and ends the process.
 func (pe *ParallelEngine) Run() { pe.run(^Time(0)) }
 
 // RunUntil processes events in all partitions up to and including virtual
@@ -329,7 +331,7 @@ func (pe *ParallelEngine) MetricsSnapshot() metrics.Snapshot {
 }
 
 // Close shuts down the worker pool and closes every partition engine in
-// partition order, releasing proc goroutines and flushing telemetry.
+// partition order, releasing proc coroutines and flushing telemetry.
 func (pe *ParallelEngine) Close() {
 	if pe.closed {
 		return

@@ -6,19 +6,20 @@ import (
 	"multikernel/internal/trace"
 )
 
-// errKilled is panicked inside a proc goroutine when the engine shuts it
+// errKilled is panicked inside a proc coroutine when the engine shuts it
 // down; the spawn wrapper recovers it.
 var errKilled = errors.New("sim: proc killed")
 
 // Proc is a simulated sequential activity (a core, a device, an OS service,
 // an application thread). All Proc methods must be called from the proc's own
-// goroutine unless documented otherwise.
+// body unless documented otherwise.
 type Proc struct {
 	e    *Engine
 	id   int
 	name string
 
-	resume  chan struct{}
+	next    func() (struct{}, bool) // resumes the coroutine until it yields or exits
+	yield   func(struct{}) bool     // suspends the coroutine back to the event loop
 	done    bool
 	killed  bool
 	daemon  bool
@@ -42,14 +43,11 @@ func (p *Proc) Name() string { return p.name }
 // reports. Safe to call from any context before or during the run.
 func (p *Proc) SetDaemon(on bool) { p.daemon = on }
 
-// yieldToEngine hands the control baton on — dispatching the next event and
-// resuming the next proc directly from this goroutine — and blocks until
-// resumed. This is the single-handoff path: one channel send transfers
-// control to the next runnable proc, with no central scheduler goroutine in
-// between.
+// yieldToEngine suspends the proc's coroutine, returning control to the
+// event loop that resumed it, and continues when the loop next dispatches one
+// of the proc's events. A proc killed in the meantime unwinds here.
 func (p *Proc) yieldToEngine() {
-	p.e.exitDispatch()
-	<-p.resume
+	p.yield(struct{}{})
 	if p.killed {
 		panic(errKilled)
 	}
@@ -58,8 +56,29 @@ func (p *Proc) yieldToEngine() {
 // Sleep advances the proc's local time by d cycles. Other events proceed in
 // the meantime. Sleep(0) yields: the proc is rescheduled after all events
 // already queued for the current cycle.
+//
+// When the wakeup would be the next event dispatched anyway, Sleep advances
+// the clock in place instead of switching to the event loop and back. That
+// holds when no perturb hook is installed, the run is not stopped or closing,
+// p is not killed, now+d is within the RunUntil limit, and now+d is strictly
+// before the earliest queued event (an equal time must yield: the queued
+// event has the lower sequence number). The fast path still consumes a
+// sequence number and raises the heap high-water mark as the scheduled
+// wakeup would have, so event counts, heap depth and all later tie-breaks
+// are identical to the switching path.
 func (p *Proc) Sleep(d Time) {
-	p.e.schedule(d, p, nil)
+	e := p.e
+	at := e.now + d
+	if e.perturb == nil && !e.stopped && !e.closing && !p.killed && at <= e.limit &&
+		(len(e.events) == 0 || at < e.events[0].at) {
+		e.seq++
+		if n := int64(len(e.events)) + 1; n > e.heapMax.Value() {
+			e.heapMax.Set(n)
+		}
+		e.now = at
+		return
+	}
+	e.schedule(d, p, nil)
 	p.yieldToEngine()
 }
 
