@@ -124,10 +124,9 @@ type node struct {
 
 // CSpace is one core's capability space.
 type CSpace struct {
-	owner  string
-	slots  map[Ref]*node
-	next   Ref
-	cnodes map[cnodeKey]map[int]Capability // CNode slot contents
+	owner string
+	slots map[Ref]*node
+	next  Ref
 }
 
 // NewCSpace returns an empty capability space. The owner string is purely

@@ -20,13 +20,15 @@ type engineCase struct {
 }
 
 // forEachEngine runs a test body under the serial reference engine and under
-// BootParallel on a single-partition ParallelEngine at workers 1, 2 and 4.
-// A single partition keeps driver-style tests valid — one proc may touch any
-// core's state, exactly as under the serial engine — while still exercising
-// the parallel engine's epoch grid, barrier machinery and worker pool; the
-// sweep proves the outcome is worker-independent. Multi-partition behaviour,
-// where every proc must live in the replica owning its core, is covered by
-// parallel_test.go and the expt boot workloads.
+// BootParallel on a single-partition ParallelEngine. A single partition keeps
+// driver-style tests valid — one proc may touch any core's state, exactly as
+// under the serial engine — while still exercising the parallel engine's
+// epoch grid and barrier machinery. The engine clamps workers to nparts
+// (sim.TestParallelWorkerClamp), so parallel_w2 and parallel_w4 repeat
+// parallel_w1's run rather than prove worker independence; ROADMAP item 3
+// lists dropping them. Multi-partition behaviour, where every proc must live
+// in the replica owning its core, and the worker sweeps that can differ, are
+// covered by parallel_test.go and the expt boot workloads.
 func forEachEngine(t *testing.T, m *topo.Machine, fn func(t *testing.T, ec engineCase)) {
 	forEachEngineOpts(t, m, Options{}, fn)
 }

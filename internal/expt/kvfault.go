@@ -41,14 +41,17 @@ type kvfaultResult struct {
 	syncs        uint64
 }
 
-// workers selects the engine: 0 runs the serial reference, >0 the parallel
-// engine with that many host workers. The fault schedule, detection deadlines
-// and recovery all ride virtual time, so the result is byte-identical across
-// engines and worker counts (TestKVFaultParallelEngineIdentity pins this).
-func kvfaultPoint(seed uint64, kills, workers int) kvfaultResult {
-	m := topo.AMD4x4()
-	env := NewEnvWorkers(m, seed, workers)
+// kvfaultPoint runs one point of the sweep on the serial engine.
+func kvfaultPoint(seed uint64, kills int) kvfaultResult {
+	env := NewEnv(topo.AMD4x4(), seed)
 	defer env.Close()
+	return kvfaultRun(env, seed, kills, env.E.RunUntil)
+}
+
+// kvfaultRun builds the cluster and fault schedule on env and drives the run
+// to the horizon with runUntil, which advances whatever engine env.E belongs
+// to.
+func kvfaultRun(env *Env, seed uint64, kills int, runUntil func(sim.Time)) kvfaultResult {
 	e := env.E
 	net := monitor.NewNetwork(e, env.Sys, env.Kern, env.KB, monitor.Hooks{})
 	net.EnableFaultTolerance(100_000)
@@ -116,7 +119,7 @@ func kvfaultPoint(seed uint64, kills, workers int) kvfaultResult {
 			}
 		})
 	}
-	env.RunUntil(kvfHorizon + 1)
+	runUntil(kvfHorizon + 1)
 
 	var res kvfaultResult
 	st := cluster.Stats()
@@ -192,7 +195,7 @@ func KVFault(seed uint64) (*figure, *figure, *table) {
 
 	kills := []int{0, 1, 2}
 	pts := harness.Map(len(kills), func(i int) kvfaultResult {
-		return kvfaultPoint(seed+uint64(i)*0x9e37_79b9_7f4a_7c15, kills[i], 0)
+		return kvfaultPoint(seed+uint64(i)*0x9e37_79b9_7f4a_7c15, kills[i])
 	})
 
 	tab := &table{

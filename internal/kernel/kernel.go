@@ -53,8 +53,6 @@ type System struct {
 	Mach  *topo.Machine
 	Eng   *sim.Engine
 	Cores []*Core
-
-	irqs map[int]*irqBinding // device interrupt routing (§4.2)
 }
 
 // NewSystem creates one CPU driver per core of the machine.

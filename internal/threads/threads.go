@@ -1,7 +1,7 @@
 // Package threads implements the user-level threads package of Barrelfish's
 // default library (paper §4.5, §4.8): dispatchers on each core run a
-// core-local thread scheduler, and cross-core operations — spawning,
-// joining, migrating threads — are performed by exchanging messages between
+// core-local thread scheduler, and cross-core operations — spawning and
+// joining threads — are performed by exchanging messages between
 // dispatchers rather than by shared runqueues. Synchronization primitives
 // (spinlocks, barriers) operate on shared cache lines through the coherence
 // model, so their contention behaviour is emergent, which is what
@@ -30,9 +30,6 @@ type Team struct {
 	sys   *cache.System
 	kern  *kernel.System
 	cores []topo.CoreID
-
-	nthreads int
-	joinAll  *sim.WaitGroup
 }
 
 // NewTeam creates a process spanning the given cores.
@@ -40,7 +37,7 @@ func NewTeam(sys *cache.System, kern *kernel.System, cores []topo.CoreID) *Team 
 	if len(cores) == 0 {
 		panic("threads: team needs at least one core")
 	}
-	return &Team{sys: sys, kern: kern, cores: cores, joinAll: sim.NewWaitGroup(kern.Eng)}
+	return &Team{sys: sys, kern: kern, cores: cores}
 }
 
 // Cores returns the cores the team spans.
@@ -73,8 +70,6 @@ func (th *Thread) Proc() *sim.Proc { return th.p }
 func (t *Team) Go(from topo.CoreID, core topo.CoreID, name string, fn func(th *Thread)) *Thread {
 	th := &Thread{Team: t, core: core}
 	th.done = sim.NewFuture[struct{}](t.kern.Eng)
-	t.nthreads++
-	t.joinAll.Add(1)
 	remote := from != core && from >= 0
 	th.p = t.kern.Eng.Spawn(fmt.Sprintf("%s@c%d", name, core), func(p *sim.Proc) {
 		if remote {
@@ -84,7 +79,6 @@ func (t *Team) Go(from topo.CoreID, core topo.CoreID, name string, fn func(th *T
 		}
 		p.Sleep(t.sys.Machine().Costs.Upcall)
 		fn(th)
-		t.joinAll.Done()
 		th.done.Complete(struct{}{})
 	})
 	return th
@@ -99,30 +93,10 @@ func (th *Thread) Join(caller *Thread) {
 	}
 }
 
-// JoinAll parks the proc until every thread of the team has finished.
-func (t *Team) JoinAll(p *sim.Proc) { t.joinAll.Wait(p) }
-
 // Compute charges cycles of pure computation with a small deterministic
 // jitter, modelling per-core execution variance.
 func (th *Thread) Compute(cycles sim.Time) {
 	th.p.Sleep(th.p.Engine().RNG().Jitter(cycles, 0.02))
-}
-
-// Yield passes through the user-level scheduler once.
-func (th *Thread) Yield() {
-	th.p.Sleep(th.Team.sys.Machine().Costs.Dispatch)
-	th.p.Sleep(0)
-}
-
-// Migrate moves the thread to another core: the dispatchers exchange
-// messages and the destination upcalls the thread.
-func (th *Thread) Migrate(core topo.CoreID) {
-	if core == th.core {
-		return
-	}
-	c := th.Team.sys.Machine().Costs
-	th.p.Sleep(xcoreSpawnCost + c.CSwitch + c.Upcall)
-	th.core = core
 }
 
 // Load reads shared memory from the thread's current core.

@@ -36,18 +36,25 @@ func TestGoAndJoinAll(t *testing.T) {
 	r := newRig(topo.AMD4x4())
 	team := NewTeam(r.sys, r.kern, allCores(r.m))
 	ran := make(map[topo.CoreID]bool)
+	var workers []*Thread
 	for _, c := range team.Cores() {
 		c := c
-		team.Go(-1, c, "w", func(th *Thread) {
+		workers = append(workers, team.Go(-1, c, "w", func(th *Thread) {
 			th.Compute(1000)
 			ran[c] = true
-		})
+		}))
 	}
-	r.e.Spawn("main", func(p *sim.Proc) { team.JoinAll(p) })
+	joined := -1
+	team.Go(-1, 0, "main", func(th *Thread) {
+		for _, w := range workers {
+			w.Join(th)
+		}
+		joined = len(ran)
+	})
 	r.e.Run()
 	r.e.CheckQuiesced()
-	if len(ran) != 16 {
-		t.Fatalf("%d threads ran, want 16", len(ran))
+	if joined != 16 {
+		t.Fatalf("%d threads had finished when the joins returned, want 16", joined)
 	}
 }
 
@@ -155,26 +162,6 @@ func TestBarrierCostGrowsWithParticipants(t *testing.T) {
 	if c2, c16 := cost(2), cost(16); c16 <= c2 {
 		t.Fatalf("barrier cost did not grow: 2 cores %d, 16 cores %d", c2, c16)
 	}
-}
-
-func TestMigrate(t *testing.T) {
-	r := newRig(topo.AMD2x2())
-	team := NewTeam(r.sys, r.kern, allCores(r.m))
-	team.Go(-1, 0, "m", func(th *Thread) {
-		if th.Core() != 0 {
-			t.Errorf("start core %d", th.Core())
-		}
-		before := th.Proc().Now()
-		th.Migrate(3)
-		if th.Core() != 3 {
-			t.Errorf("core after migrate: %d", th.Core())
-		}
-		if th.Proc().Now() == before {
-			t.Error("migration was free")
-		}
-		th.Migrate(3) // no-op
-	})
-	r.e.Run()
 }
 
 func TestLoadStoreThroughThread(t *testing.T) {
