@@ -600,11 +600,30 @@ func (s *System) markDirty(c topo.CoreID, a memory.Addr, l *line) {
 	l.dirty = true
 }
 
+// hit counts a load hit if core c holds l: Load's hit path, before its
+// latency.
+func (s *System) hit(c topo.CoreID, l *line) bool {
+	if !l.holds(c) {
+		return false
+	}
+	s.stats[c].Hits++
+	return true
+}
+
+// ProbeHit is the cost-free first half of a Load of a by core c: if c holds
+// the line it counts the hit and reports true, and the caller then owes
+// Costs.L1Hit before it reads the word — exactly what Load would have done.
+// On false nothing is counted (only touch tracking sees the line), so a Load
+// issued at the same instant takes the miss path as if ProbeHit had not run.
+// It charges no time and needs no proc, so engine callbacks can poll with it.
+func (s *System) ProbeHit(c topo.CoreID, a memory.Addr) bool {
+	return s.hit(c, s.lineFor(a))
+}
+
 // Load reads the word at a from core c, charging coherence latency to p.
 func (s *System) Load(p *sim.Proc, c topo.CoreID, a memory.Addr) uint64 {
 	l := s.lineFor(a)
-	if l.holds(c) {
-		s.stats[c].Hits++
+	if s.hit(c, l) {
 		p.Sleep(s.mach.Costs.L1Hit)
 		return s.mem.LoadWord(a)
 	}

@@ -24,11 +24,11 @@ type engineCase struct {
 // driver-style tests valid — one proc may touch any core's state, exactly as
 // under the serial engine — while still exercising the parallel engine's
 // epoch grid and barrier machinery. The engine clamps workers to nparts
-// (sim.TestParallelWorkerClamp), so parallel_w2 and parallel_w4 repeat
-// parallel_w1's run rather than prove worker independence; ROADMAP item 3
-// lists dropping them. Multi-partition behaviour, where every proc must live
-// in the replica owning its core, and the worker sweeps that can differ, are
-// covered by parallel_test.go and the expt boot workloads.
+// (sim.TestParallelWorkerClamp), so parallel_w2 repeats parallel_w1's run
+// rather than proving worker independence; ROADMAP item 3 lists dropping it.
+// Multi-partition behaviour, where every proc must live in the replica owning
+// its core, and the worker sweeps that can differ, are covered by
+// parallel_test.go and the expt boot workloads.
 func forEachEngine(t *testing.T, m *topo.Machine, fn func(t *testing.T, ec engineCase)) {
 	forEachEngineOpts(t, m, Options{}, fn)
 }
@@ -41,7 +41,7 @@ func forEachEngineOpts(t *testing.T, m *topo.Machine, opts Options, fn func(t *t
 		t.Cleanup(e.Close)
 		fn(t, engineCase{e: e, s: BootWith(e, m, opts), run: e.Run})
 	})
-	for _, w := range []int{1, 2, 4} {
+	for _, w := range []int{1, 2} {
 		w := w
 		t.Run(fmt.Sprintf("parallel_w%d", w), func(t *testing.T) {
 			pm := topo.Partition(m, 1)

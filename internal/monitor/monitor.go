@@ -173,9 +173,8 @@ type Monitor struct {
 	net  *Network
 	CS   *caps.CSpace
 
-	in    map[topo.CoreID]*urpc.Channel
+	inbox []*urpc.Channel // inbound channels in poll order: ascending sender
 	out   map[topo.CoreID]*urpc.Channel
-	peers []topo.CoreID // deterministic poll order
 
 	local  *sim.Queue[*localReq]
 	proc   *sim.Proc
@@ -227,7 +226,6 @@ func NewNetwork(e *sim.Engine, sys *cache.System, kern *kernel.System, kb *skb.K
 			Core:  topo.CoreID(c),
 			net:   n,
 			CS:    caps.NewCSpace(fmt.Sprintf("core%d", c)),
-			in:    make(map[topo.CoreID]*urpc.Channel),
 			out:   make(map[topo.CoreID]*urpc.Channel),
 			local: sim.NewQueue[*localReq](e),
 			ops:   make(map[uint64]*opState),
@@ -242,8 +240,12 @@ func NewNetwork(e *sim.Engine, sys *cache.System, kern *kernel.System, kb *skb.K
 			}
 			ca, cb := topo.CoreID(a), topo.CoreID(b)
 			ch := urpc.New(sys, ca, cb, urpc.Options{Slots: monitorSlots, Home: int(kb.AllocAdvice(cb))})
+			// The sender loop is outermost, so every inbox fills in
+			// ascending sender order: the poll order is the core-id order,
+			// never map iteration order, because it feeds the event queue
+			// on every pass.
 			n.monitors[a].out[cb] = ch
-			n.monitors[b].in[ca] = ch
+			n.monitors[b].inbox = append(n.monitors[b].inbox, ch)
 			if sys.LocalCore(cb) && !sys.LocalCore(ca) {
 				// Parallel boot: the sender's replica cannot unpark this
 				// monitor (its proc lives here), so the delivered ring line
@@ -261,15 +263,6 @@ func NewNetwork(e *sim.Engine, sys *cache.System, kern *kernel.System, kb *skb.K
 		}
 	}
 	for _, mon := range n.monitors {
-		// Build the poll order by walking core ids in ascending order, never
-		// by ranging over the channel map: the poll order feeds the event
-		// queue every dispatch pass, so it must be visibly deterministic
-		// rather than map-iteration order laundered through a sort.
-		for c := 0; c < m.NumCores(); c++ {
-			if _, ok := mon.in[topo.CoreID(c)]; ok {
-				mon.peers = append(mon.peers, topo.CoreID(c))
-			}
-		}
 		if !sys.LocalCore(mon.Core) {
 			// Parallel boot: a remote core's monitor exists as structure (its
 			// channels are the local ends of the mesh) but never runs here —
@@ -361,76 +354,179 @@ func (m *Monitor) sendMany(p *sim.Proc, msgs []batchMsg) {
 
 // run is the monitor dispatch loop: poll local requests and every incoming
 // channel; block after a sustained idle period and wait for notification.
+//
+// Almost every pass finds nothing, so the pass itself is a state machine
+// (idlePass) that the proc runs under Spin: empty polls, the loop charge and
+// the idle sleep are engine callbacks, and the coroutine runs only for what
+// needs it — a local request, a sequence-word miss, a message, an expired
+// deadline, or the park. Virtual time is the same to the cycle as a pass
+// written as straight-line code with Sleeps.
 func (m *Monitor) run(p *sim.Proc) {
 	p.SetDaemon(true)
-	costs := &m.net.Sys.Machine().Costs
-	idle := 0
-	var burst [recvBurst]urpc.Message
 	if m.parked {
 		// Restored from a checkpoint taken while blocked: this first resume
 		// is the interrupt-driven wakeup, so replay exactly the charges of
-		// the post-Park path below — that equivalence is what makes a
-		// restored run byte-identical to an uninterrupted one.
-		m.parked = false
-		p.Sleep(costs.Trap + costs.CSwitch)
-		for m.down && len(m.fwd) == 0 && len(m.ops) == 0 {
-			p.Sleep(coreDownParkCost)
-			m.parked = true
-			p.Park()
-			m.parked = false
-		}
+		// the post-Park path — that equivalence is what makes a restored run
+		// byte-identical to an uninterrupted one.
+		m.unparked(p)
 	}
+	var burst [recvBurst]urpc.Message
+	s := &idlePass{m: m}
+	step := s.step
 	for {
-		progress := false
-		if req, ok := m.local.TryPop(); ok {
-			m.startOp(p, req)
-			progress = true
+		if d, done := s.step(); !done {
+			p.Spin(d, step)
 		}
-		for _, src := range m.peers {
+		switch s.stage {
+		case passLocal:
+			req, _ := m.local.TryPop()
+			m.startOp(p, req)
+			s.progress = true
+			s.i, s.stage = 0, passCheck
+		case passMiss, passMsg:
 			// Burst dequeue: one check charge drains up to recvBurst queued
 			// messages from this peer. The burst is capped so one chatty peer
 			// cannot starve the others in a single pass.
-			n := m.in[src].RecvAll(p, burst[:])
+			ch := m.inbox[s.i]
+			n := ch.RecvRest(p, burst[:], s.t0, s.stage == passMsg)
 			for i := 0; i < n; i++ {
-				m.dispatch(p, src, burst[i])
+				m.dispatch(p, ch.Sender, burst[i])
 			}
 			if n > 0 {
-				progress = true
+				s.progress = true
 			}
+			s.i++
+			s.stage = passCheck
+		case passDeadline:
+			m.checkDeadlines(p)
+			s.progress = true
+			p.Sleep(loopCost)
+			s.stage = passIdle
+		case passPark:
+			m.parked = true
+			p.Park()
+			m.unparked(p)
+			s.idle = 0
+			s.stage = passTop
 		}
-		if m.net.OpTimeout > 0 && m.checkDeadlines(p) {
-			progress = true
-		}
-		p.Sleep(loopCost)
-		if progress {
-			idle = 0
-			continue
-		}
-		idle++
-		// With fault tolerance armed, a monitor with outstanding protocol
-		// state must keep polling: its deadlines are its failure detector,
-		// and a blocked monitor would only wake on a message that a dead
-		// peer will never send.
-		if idle < idleToBlock || (m.net.OpTimeout > 0 && len(m.ops)+len(m.fwd) > 0) {
-			p.Sleep(idleSleep)
-			continue
-		}
+	}
+}
+
+// unparked charges a blocked monitor's interrupt-driven wakeup: being
+// re-dispatched costs a trap and a context switch.
+func (m *Monitor) unparked(p *sim.Proc) {
+	costs := &m.net.Sys.Machine().Costs
+	m.parked = false
+	p.Sleep(costs.Trap + costs.CSwitch)
+	for m.down && len(m.fwd) == 0 && len(m.ops) == 0 {
+		// Powered off: sleep until the PowerOn IPI (§3.3). A monitor that is
+		// still the aggregation root of an in-flight operation (or initiated
+		// one) drains that duty first — the membership change that took it
+		// offline may have raced with a protocol round that still counts on
+		// its responses.
+		p.Sleep(coreDownParkCost)
 		m.parked = true
 		p.Park()
 		m.parked = false
-		idle = 0
-		// Being re-dispatched after an interrupt-driven wakeup.
-		p.Sleep(costs.Trap + costs.CSwitch)
-		for m.down && len(m.fwd) == 0 && len(m.ops) == 0 {
-			// Powered off: sleep until the PowerOn IPI (§3.3). A monitor
-			// that is still the aggregation root of an in-flight operation
-			// (or initiated one) drains that duty first — the membership
-			// change that took it offline may have raced with a protocol
-			// round that still counts on its responses.
-			p.Sleep(coreDownParkCost)
-			m.parked = true
-			p.Park()
-			m.parked = false
+	}
+}
+
+// passStage is a position in a monitor's polling pass. The stages up to
+// passIdle say what the pass does next; the rest say why it stopped and
+// handed control to the dispatch loop's coroutine.
+type passStage uint8
+
+const (
+	passTop   passStage = iota // start a pass: the local request queue
+	passCheck                  // start polling inbox[i]: the check charge
+	passProbe                  // the check elapsed: load inbox[i]'s sequence word
+	passRead                   // the load hit and its L1 charge elapsed: read it
+	passEnd                    // every channel polled: deadlines, loop charge
+	passIdle                   // the loop charge elapsed: next pass, sleep or park
+
+	passLocal    // a local request is queued
+	passMiss     // inbox[i]'s sequence-word load misses
+	passMsg      // inbox[i] holds a message
+	passDeadline // a fault-tolerance deadline expired
+	passPark     // idleToBlock idle passes in a row: block
+)
+
+// idlePass is the polling pass of Monitor.run as a state machine.
+type idlePass struct {
+	m        *Monitor
+	stage    passStage
+	i        int      // index into m.inbox of the channel being polled
+	t0       sim.Time // when inbox[i]'s check began
+	progress bool     // this pass did work
+	idle     int      // idle passes in a row
+}
+
+// step runs the pass from its stage to its next charge, which it returns, or
+// to a stage past passIdle (done). It charges no time and blocks on nothing
+// itself, so Spin runs it as an engine callback after each charge.
+func (s *idlePass) step() (sim.Time, bool) {
+	m := s.m
+	for {
+		switch s.stage {
+		case passTop:
+			s.progress = false
+			if m.local.Len() > 0 {
+				s.stage = passLocal
+				return 0, true
+			}
+			s.i, s.stage = 0, passCheck
+		case passCheck:
+			if s.i == len(m.inbox) {
+				s.stage = passEnd
+				continue
+			}
+			s.t0 = m.net.Eng.Now()
+			s.stage = passProbe
+			return urpc.RecvCheckCost, false
+		case passProbe:
+			if !m.inbox[s.i].ProbeSeq() {
+				s.stage = passMiss
+				return 0, true
+			}
+			s.stage = passRead
+			return m.net.Sys.Machine().Costs.L1Hit, false
+		case passRead:
+			if m.inbox[s.i].Pending() {
+				s.stage = passMsg
+				return 0, true
+			}
+			s.i++
+			s.stage = passCheck
+		case passEnd:
+			if m.net.OpTimeout > 0 && m.deadlineDue() {
+				s.stage = passDeadline
+				return 0, true
+			}
+			s.stage = passIdle
+			return loopCost, false
+		case passIdle:
+			if s.progress {
+				s.idle = 0
+				s.stage = passTop
+				continue
+			}
+			s.idle++
+			// With fault tolerance armed, a monitor with outstanding
+			// protocol state must keep polling: its deadlines are its
+			// failure detector, and a blocked monitor would only wake on a
+			// message that a dead peer will never send.
+			if s.idle < idleToBlock || (m.net.OpTimeout > 0 && len(m.ops)+len(m.fwd) > 0) {
+				s.stage = passTop
+				return idleSleep, false
+			}
+			// The park does not poll the channels again first, so a
+			// message whose sender found parked still false stays unread
+			// until the next wakeup. That lost wakeup is kept bit for bit
+			// here: closing it moves paper-figure numbers.
+			s.stage = passPark
+			return 0, true
+		default:
+			panic(fmt.Sprintf("monitor%d: idle pass stepped at stage %d", m.Core, s.stage))
 		}
 	}
 }

@@ -27,7 +27,7 @@ type fixture struct {
 	vetoCores   map[topo.CoreID]bool
 }
 
-func newFixture(t *testing.T, m *topo.Machine) *fixture {
+func newFixture(t testing.TB, m *topo.Machine) *fixture {
 	t.Helper()
 	f := &fixture{
 		e:           sim.NewEngine(1),

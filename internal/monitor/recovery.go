@@ -91,14 +91,30 @@ func sortedCores(set map[topo.CoreID]bool) []topo.CoreID {
 	return out
 }
 
-// checkDeadlines runs one failure-detector sweep, reporting whether any
-// recovery ran (the caller must treat that as loop progress: recovery can
-// self-push local requests, and a monitor that parked before popping them
-// would never be woken). Expired aggregations are recovered before expired
-// initiator phases (an aggregator answering upward may resolve the initiator
-// without a full re-plan), and within each class operations recover in
-// ascending ID order for determinism.
-func (m *Monitor) checkDeadlines(p *sim.Proc) bool {
+// deadlineDue reports whether checkDeadlines would recover anything now. The
+// dispatch loop runs the sweep only then, and counts it as loop progress:
+// recovery can self-push local requests, and a monitor that parked before
+// popping them would never be woken.
+func (m *Monitor) deadlineDue() bool {
+	now := m.net.Eng.Now()
+	for _, fw := range m.fwd {
+		if fw.deadline > 0 && now >= fw.deadline {
+			return true
+		}
+	}
+	for _, st := range m.ops {
+		if st.deadline > 0 && now >= st.deadline {
+			return true
+		}
+	}
+	return false
+}
+
+// checkDeadlines runs one failure-detector sweep. Expired aggregations are
+// recovered before expired initiator phases (an aggregator answering upward
+// may resolve the initiator without a full re-plan), and within each class
+// operations recover in ascending ID order for determinism.
+func (m *Monitor) checkDeadlines(p *sim.Proc) {
 	now := p.Now()
 	var fwIDs []uint64
 	for id, fw := range m.fwd {
@@ -124,7 +140,6 @@ func (m *Monitor) checkDeadlines(p *sim.Proc) bool {
 			m.recoverOp(p, id, st)
 		}
 	}
-	return len(fwIDs)+len(opIDs) > 0
 }
 
 // excise removes each suspect from this monitor's replicated view, renders a

@@ -82,8 +82,9 @@ func (e *Engine) RegisterCheckpoint(name string, c Checkpointer) {
 // from driver context (between Run calls, never from a proc or engine
 // callback), and the engine must be quiescent in the checkpointable sense:
 // every pending event is a plain proc wakeup. Pending engine callbacks
-// (After timers, ParkTimeout deadlines, parallel mailbox deliveries) are Go
-// closures, which cannot be serialized; their presence is an error.
+// (After timers, ParkTimeout deadlines, Spin wakeups, parallel mailbox
+// deliveries) are Go closures, which cannot be serialized; their presence is
+// an error.
 func (e *Engine) Checkpoint(w io.Writer) error {
 	if e.running != nil {
 		return fmt.Errorf("sim: checkpoint requires driver context")

@@ -26,7 +26,12 @@
 //   - a Sleep whose wakeup would be the very next event dispatched skips the
 //     switch altogether: it advances the clock in place, with the same
 //     sequence and heap-depth bookkeeping a scheduled wakeup would have left
-//     (see Proc.Sleep for the exactness rule).
+//     (see Proc.sleepInPlace for the exactness rule), and
+//   - a polling loop written with Proc.Spin runs its passes as engine
+//     callbacks: each wakeup calls the loop's step function from the event
+//     loop, and the proc's coroutine is resumed only when a step reports
+//     that the proc has real work, with every time, sequence number and
+//     heap high-water mark the same as the equivalent Sleep loop.
 package sim
 
 import (

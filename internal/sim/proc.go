@@ -27,6 +27,9 @@ type Proc struct {
 	token   bool // a wakeup arrived before Park
 	timeout bool // last ParkTimeout expired
 	parkSeq uint64
+
+	step   func() (Time, bool) // the Spin in progress (see Spin)
+	stepEv func()              // p.spinWake, bound once: Spin's wakeup callback
 }
 
 // Engine returns the engine this proc belongs to.
@@ -58,28 +61,102 @@ func (p *Proc) yieldToEngine() {
 // already queued for the current cycle.
 //
 // When the wakeup would be the next event dispatched anyway, Sleep advances
-// the clock in place instead of switching to the event loop and back. That
-// holds when no perturb hook is installed, the run is not stopped or closing,
-// p is not killed, now+d is within the RunUntil limit, and now+d is strictly
-// before the earliest queued event (an equal time must yield: the queued
-// event has the lower sequence number). The fast path still consumes a
-// sequence number and raises the heap high-water mark as the scheduled
-// wakeup would have, so event counts, heap depth and all later tie-breaks
-// are identical to the switching path.
+// the clock in place instead of switching to the event loop and back (see
+// sleepInPlace for the exactness rule).
 func (p *Proc) Sleep(d Time) {
+	if !p.sleepInPlace(d) {
+		p.e.schedule(d, p, nil)
+		p.yieldToEngine()
+	}
+}
+
+// sleepInPlace advances the clock by d without scheduling an event, and
+// reports whether it did. It may when no perturb hook is installed, the run
+// is not stopped or closing, p is not killed, now+d is within the RunUntil
+// limit, and now+d is strictly before the earliest queued event (an equal
+// time must yield: the queued event has the lower sequence number). It still
+// consumes a sequence number and raises the heap high-water mark as the
+// scheduled wakeup would have, so event counts, heap depth and all later
+// tie-breaks are identical to the scheduled path.
+func (p *Proc) sleepInPlace(d Time) bool {
 	e := p.e
 	at := e.now + d
-	if e.perturb == nil && !e.stopped && !e.closing && !p.killed && at <= e.limit &&
-		(len(e.events) == 0 || at < e.events[0].at) {
-		e.seq++
-		if n := int64(len(e.events)) + 1; n > e.heapMax.Value() {
-			e.heapMax.Set(n)
+	if e.perturb != nil || e.stopped || e.closing || p.killed || at > e.limit ||
+		(len(e.events) > 0 && at >= e.events[0].at) {
+		return false
+	}
+	e.seq++
+	if n := int64(len(e.events)) + 1; n > e.heapMax.Value() {
+		e.heapMax.Set(n)
+	}
+	e.now = at
+	return true
+}
+
+// Spin is exactly
+//
+//	for { p.Sleep(d); if d, done = step(); done { return } }
+//
+// with every virtual time, sequence number and heap high-water mark the same,
+// but each wakeup runs step as an engine callback instead of resuming p's
+// coroutine. p resumes only when step reports done, inline in that same
+// event. A polling loop whose passes mostly find nothing to do is the use:
+// its empty passes cost a callback rather than two coroutine switches.
+//
+// step runs in engine context whenever it is not called from p's own body,
+// so it must not block and must not call p's own methods that yield (Sleep,
+// Park); it may read the clock, touch model state that charges no time, Wake
+// other procs, Kill, and Stop. A panic in step run as a callback leaves Run
+// as it is, without the proc's name. A spinning proc is not parked: Wake
+// leaves it a token, as for a sleeping proc. Kill resumes it so that it
+// unwinds, as from a Sleep.
+func (p *Proc) Spin(d Time, step func() (Time, bool)) {
+	for p.sleepInPlace(d) {
+		var done bool
+		if d, done = step(); done {
+			return
 		}
-		e.now = at
+	}
+	if p.stepEv == nil {
+		p.stepEv = p.spinWake
+	}
+	p.step = step
+	p.e.schedule(d, nil, p.stepEv)
+	p.yield(struct{}{})
+	if p.step != nil {
+		// Resumed before step reported done: only a kill does that. A kill
+		// issued by the final step itself does not unwind here, because in
+		// the Sleep loop that step would have run in p's own body.
+		panic(errKilled)
+	}
+}
+
+// spinWake is a Spin wakeup. It runs step, and each further wakeup that
+// sleepInPlace can take, until step reports done or a wakeup must be
+// scheduled; on done it resumes p. A wakeup that finds p killed resumes p at
+// once so that it unwinds, exactly as the wakeup of a Sleep would; one that
+// finds p done is stale and does nothing.
+func (p *Proc) spinWake() {
+	if p.done {
 		return
 	}
-	e.schedule(d, p, nil)
-	p.yieldToEngine()
+	if !p.killed {
+		for {
+			d, done := p.step()
+			if done {
+				p.step = nil
+				break
+			}
+			if !p.sleepInPlace(d) {
+				p.e.schedule(d, nil, p.stepEv)
+				return
+			}
+		}
+	}
+	e := p.e
+	e.running = p
+	p.next()
+	e.running = nil
 }
 
 // Park blocks the proc until another activity calls Unpark. If an Unpark

@@ -206,7 +206,6 @@ func Mesh(k int) *Machine {
 		Costs:          scaledCosts(),
 		gridNX:         k,
 		gridNY:         k,
-		LinkGBps:       uniformGBps(gridLinks(k, k, false), DefaultLinkGBps),
 	}
 	return m.finish()
 }
@@ -231,26 +230,15 @@ func Torus(k int) *Machine {
 		gridNX:         k,
 		gridNY:         k,
 		gridWrap:       true,
-		LinkGBps:       uniformGBps(gridLinks(k, k, true), DefaultLinkGBps),
 	}
 	return m.finish()
 }
 
-// uniformGBps builds a bandwidth map assigning every listed link g GB/s.
-func uniformGBps(links []Link, g float64) map[Link]float64 {
-	out := make(map[Link]float64, len(links))
-	for _, l := range links {
-		out[l] = g
-	}
-	return out
-}
-
 // Hier builds a multi-socket hierarchy: clusters of fully-meshed sockets
-// joined by a ring of slower, narrower uplinks between each cluster's
-// gateway (lowest-numbered) socket. The uplinks carry a per-crossing
-// LinkLat surcharge and half the intra-cluster bandwidth, so routes that
-// leave a cluster are visibly more expensive — the NUMA-of-NUMAs shape of
-// large shared-memory machines.
+// joined by a ring of slower uplinks between each cluster's gateway
+// (lowest-numbered) socket. The uplinks carry a per-crossing LinkLat
+// surcharge, so routes that leave a cluster are visibly more expensive — the
+// NUMA-of-NUMAs shape of large shared-memory machines.
 func Hier(clusters, socketsPerCluster, coresPerSocket int) *Machine {
 	if clusters < 2 || socketsPerCluster < 1 || coresPerSocket < 1 {
 		panic("topo: hierarchy needs ≥2 clusters and positive sockets/cores")
@@ -259,14 +247,12 @@ func Hier(clusters, socketsPerCluster, coresPerSocket int) *Machine {
 	n := clusters * socketsPerCluster
 	var links []Link
 	linkLat := make(map[Link]sim.Time)
-	linkGBps := make(map[Link]float64)
 	for c := 0; c < clusters; c++ {
 		base := c * socketsPerCluster
 		for i := 0; i < socketsPerCluster; i++ {
 			for j := i + 1; j < socketsPerCluster; j++ {
 				l := Link{SocketID(base + i), SocketID(base + j)}
 				links = append(links, l)
-				linkGBps[l] = DefaultLinkGBps
 			}
 		}
 	}
@@ -279,7 +265,6 @@ func Hier(clusters, socketsPerCluster, coresPerSocket int) *Machine {
 		l := Link{gw, ngw}
 		links = append(links, l)
 		linkLat[l] = uplinkExtra
-		linkGBps[l] = DefaultLinkGBps / 2
 	}
 	m := &Machine{
 		Name: fmt.Sprintf("hier-%dx%dx%dc",
@@ -293,7 +278,6 @@ func Hier(clusters, socketsPerCluster, coresPerSocket int) *Machine {
 		Links:          links,
 		Costs:          scaledCosts(),
 		LinkLat:        linkLat,
-		LinkGBps:       linkGBps,
 	}
 	return m.finish()
 }

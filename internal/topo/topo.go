@@ -78,11 +78,9 @@ type Machine struct {
 	Costs          CostParams
 
 	// LinkLat maps a link to extra per-crossing latency beyond the uniform
-	// RemoteHop (e.g. slower inter-cluster uplinks of a hierarchy). LinkGBps
-	// maps a link to its bandwidth; links absent from either map use the
-	// uniform defaults. Both nil on the paper machines.
-	LinkLat  map[Link]sim.Time
-	LinkGBps map[Link]float64
+	// RemoteHop (e.g. slower inter-cluster uplinks of a hierarchy); links
+	// absent from it cost only RemoteHop. Nil on the paper machines.
+	LinkLat map[Link]sim.Time
 
 	// Grid geometry, set by the Mesh/Torus builders: routing is then
 	// dimension-ordered (X first, then Y) instead of BFS, the deterministic
@@ -325,24 +323,6 @@ func (m *Machine) PathExtra(a, b SocketID) sim.Time {
 		return 0
 	}
 	return m.extra[int(a)*m.NSockets+int(b)]
-}
-
-// DefaultLinkGBps is the bandwidth assumed for links absent from a machine's
-// LinkGBps map (one HyperTransport-class link).
-const DefaultLinkGBps = 4.0
-
-// LinkBandwidth returns the bandwidth in GB/s of the direct link between two
-// adjacent sockets, in either key order, defaulting to DefaultLinkGBps.
-func (m *Machine) LinkBandwidth(a, b SocketID) float64 {
-	if m.LinkGBps != nil {
-		if g, ok := m.LinkGBps[Link{a, b}]; ok {
-			return g
-		}
-		if g, ok := m.LinkGBps[Link{b, a}]; ok {
-			return g
-		}
-	}
-	return DefaultLinkGBps
 }
 
 // TransferLat returns the latency of one coherence transaction that moves a

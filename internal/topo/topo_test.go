@@ -322,17 +322,9 @@ func TestHierUplinkCosts(t *testing.T) {
 	if crossCluster <= sameCluster {
 		t.Fatalf("cross-cluster transfer %d not > intra-cluster %d", crossCluster, sameCluster)
 	}
-	// Uplinks are half bandwidth; intra-cluster links full.
-	if g := m.LinkBandwidth(0, 1); g != DefaultLinkGBps {
-		t.Fatalf("intra-cluster bandwidth %v, want %v", g, DefaultLinkGBps)
-	}
-	if g := m.LinkBandwidth(0, 4); g != DefaultLinkGBps/2 {
-		t.Fatalf("uplink bandwidth %v, want %v", g, DefaultLinkGBps/2)
-	}
-	// Paper machines: no maps, defaults everywhere.
-	p := AMD8x4()
-	if p.PathExtra(0, 7) != 0 || p.LinkBandwidth(0, 1) != DefaultLinkGBps {
-		t.Fatal("paper machine should have zero PathExtra and default bandwidth")
+	// Paper machines: no link map, no surcharge.
+	if p := AMD8x4(); p.PathExtra(0, 7) != 0 {
+		t.Fatal("paper machine should have zero PathExtra")
 	}
 }
 

@@ -27,6 +27,9 @@ import (
 // word of the cache line carries the sequence number.
 const PayloadWords = 7
 
+// seqOffset is the sequence word's byte offset within a slot's line.
+const seqOffset = memory.Addr(PayloadWords * 8)
+
 // Message is one cache-line-sized URPC message.
 type Message [PayloadWords]uint64
 
@@ -34,10 +37,13 @@ type Message [PayloadWords]uint64
 // length of 16 the paper uses for pipelined throughput measurements.
 const DefaultSlots = 16
 
+// RecvCheckCost is the poll-loop check and branch a receive charges before it
+// loads the next slot's sequence word (see RecvRest).
+const RecvCheckCost = 10
+
 // Software-path costs in cycles, charged on top of the coherence transfers.
 const (
 	sendSetupCost = 14 // channel bookkeeping before the line write
-	recvCheckCost = 10 // poll-loop check and branch
 	recvCopyCost  = 18 // copying the payload out and advancing state
 	pollGap       = 25 // cycles between successive idle polls
 )
@@ -427,10 +433,9 @@ func (c *Channel) notify(p *sim.Proc) {
 func (c *Channel) TryRecv(p *sim.Proc) (Message, bool) {
 	var msg Message
 	slot := c.slotAddr(c.recvSeq)
-	seqWord := slot + memory.Addr(PayloadWords*8)
 	t0 := uint64(p.Now())
-	p.Sleep(recvCheckCost)
-	if c.sys.Load(p, c.Receiver, seqWord) != c.recvSeq+1 {
+	p.Sleep(RecvCheckCost)
+	if c.sys.Load(p, c.Receiver, slot+seqOffset) != c.recvSeq+1 {
 		return msg, false
 	}
 	// Retroactive span open: only successful polls become urpc.recv slices, so
@@ -464,19 +469,29 @@ func (c *Channel) TryRecv(p *sim.Proc) (Message, bool) {
 // per drained burst — the receive-side half of the pipelining regime. A
 // return of 0 means the ring was empty (only the check cost was paid).
 func (c *Channel) RecvAll(p *sim.Proc, buf []Message) int {
-	t0 := uint64(p.Now())
-	p.Sleep(recvCheckCost)
+	t0 := p.Now()
+	p.Sleep(RecvCheckCost)
+	return c.RecvRest(p, buf, t0, false)
+}
+
+// RecvRest is RecvAll after its check charge, which began at t0. With ready
+// set, the caller has already made the first sequence-word load and found a
+// message: ProbeSeq hit, Costs.L1Hit elapsed, and Pending is true. A poller
+// that runs its empty polls as engine callbacks (monitor.Monitor) charges
+// RecvCheckCost and that load itself and enters here only on a miss (ready
+// false) or a message (ready true), so both paths share this one receive.
+func (c *Channel) RecvRest(p *sim.Proc, buf []Message, t0 sim.Time, ready bool) int {
 	rec := c.eng.Tracer()
 	n := 0
 	for n < len(buf) {
 		slot := c.slotAddr(c.recvSeq)
-		seqWord := slot + memory.Addr(PayloadWords*8)
-		if c.sys.Load(p, c.Receiver, seqWord) != c.recvSeq+1 {
+		if !ready && c.sys.Load(p, c.Receiver, slot+seqOffset) != c.recvSeq+1 {
 			break
 		}
+		ready = false
 		if n == 0 {
 			// Retroactive span open, as in TryRecv: empty polls leave no slice.
-			rec.Emit(t0, trace.Begin, trace.SubURPC, int32(c.Receiver), "urpc.recv", 0, 0)
+			rec.Emit(uint64(t0), trace.Begin, trace.SubURPC, int32(c.Receiver), "urpc.recv", 0, 0)
 		}
 		line := c.sys.LoadLine(p, c.Receiver, slot)
 		copy(buf[n][:], line[:PayloadWords])
@@ -497,6 +512,15 @@ func (c *Channel) RecvAll(p *sim.Proc, buf []Message) int {
 		rec.Emit(uint64(p.Now()), trace.End, trace.SubURPC, int32(c.Receiver), "urpc.recv", 0, uint64(n))
 	}
 	return n
+}
+
+// ProbeSeq is the cost-free first half of the receiver's load of the next
+// slot's sequence word (cache.System.ProbeHit): true means the receiver's
+// cache holds the line, the hit is counted, and the caller owes Costs.L1Hit
+// before Pending tells whether a message is there. False means the load
+// misses, and only RecvRest (ready false) may make it.
+func (c *Channel) ProbeSeq() bool {
+	return c.sys.ProbeHit(c.Receiver, c.slotAddr(c.recvSeq)+seqOffset)
 }
 
 // ackConsumed publishes receiver progress to the ack line, amortized to one
@@ -602,9 +626,7 @@ func (c *Channel) PrefetchSlot(p *sim.Proc) {
 // Pending reports whether a message is ready without charging any cost
 // (engine-side inspection for tests and schedulers).
 func (c *Channel) Pending() bool {
-	slot := c.slotAddr(c.recvSeq)
-	seqWord := slot + memory.Addr(PayloadWords*8)
-	return c.sys.Memory().LoadWord(seqWord) == c.recvSeq+1
+	return c.sys.Memory().LoadWord(c.slotAddr(c.recvSeq)+seqOffset) == c.recvSeq+1
 }
 
 // String implements fmt.Stringer.

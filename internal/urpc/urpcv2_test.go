@@ -173,8 +173,8 @@ func TestRecvAllChargesCheckOncePerPoll(t *testing.T) {
 		t.Fatalf("RecvAll burst drain took %d cycles, k TryRecvs took %d — burst not cheaper", burst, single)
 	}
 	// The saving is at least the (k-1) skipped check charges.
-	if single-burst < (k-1)*recvCheckCost {
-		t.Fatalf("burst saving %d cycles, want >= %d (k-1 check charges)", single-burst, (k-1)*recvCheckCost)
+	if single-burst < (k-1)*RecvCheckCost {
+		t.Fatalf("burst saving %d cycles, want >= %d (k-1 check charges)", single-burst, (k-1)*RecvCheckCost)
 	}
 }
 
@@ -272,7 +272,7 @@ func TestBatchedVsUnbatchedEquivalence(t *testing.T) {
 	if batchedSend >= plainSend {
 		t.Fatalf("batched sender retired at %d, not before unbatched at %d", batchedSend, plainSend)
 	}
-	if slack := sim.Time(pollGap + recvCheckCost + recvCopyCost); batchedEnd > plainEnd+slack*10 {
+	if slack := sim.Time(pollGap + RecvCheckCost + recvCopyCost); batchedEnd > plainEnd+slack*10 {
 		t.Fatalf("batched delivery finished at %d, far after unbatched at %d", batchedEnd, plainEnd)
 	}
 }
