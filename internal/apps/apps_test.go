@@ -188,7 +188,7 @@ func TestKVClientSurvivesDeadService(t *testing.T) {
 	svc := NewKVService(e, kv)
 	cli := svc.Connect(3)
 	cli.Timeout = 2_000_000 // short deadline keeps the test fast
-	var errSel, errUpd, errMany, errRange error
+	var errSel, errUpd, errRange error
 	e.Spawn("cli", func(p *sim.Proc) {
 		if _, ok, err := cli.Select(p, 1); err != nil || !ok {
 			t.Errorf("select against live service failed: ok=%v err=%v", ok, err)
@@ -196,12 +196,11 @@ func TestKVClientSurvivesDeadService(t *testing.T) {
 		svc.FailStop()
 		_, _, errSel = cli.Select(p, 2)
 		_, errUpd = cli.Update(p, 3, 9)
-		_, _, errMany = cli.SelectMany(p, []uint64{4, 5})
 		_, errRange = cli.SelectRange(p, 0, 10)
 	})
 	e.Run()
 	for name, err := range map[string]error{
-		"select": errSel, "update": errUpd, "selectmany": errMany, "selectrange": errRange,
+		"select": errSel, "update": errUpd, "selectrange": errRange,
 	} {
 		if !errors.Is(err, ErrChannelDead) {
 			t.Errorf("%s after service death: err = %v, want ErrChannelDead", name, err)

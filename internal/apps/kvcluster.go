@@ -259,7 +259,7 @@ func NewKVCluster(e *sim.Engine, sys *cache.System, net *monitor.Network, cfg Cl
 			}
 			ch := urpc.New(sys, a, b, urpc.Options{Slots: 16, Home: int(sys.Machine().Socket(b))})
 			cl.byCore[a].out[b] = ch
-			cl.byCore[b].in[a] = ch
+			cl.byCore[b].meshIn = append(cl.byCore[b].meshIn, ch)
 			// Parallel boot: a replication/ack line arriving from another
 			// partition is the receiving shard server's interrupt.
 			rcv := b
@@ -544,10 +544,10 @@ type kvServer struct {
 	core topo.CoreID
 	proc *sim.Proc
 
-	in, out map[topo.CoreID]*urpc.Channel // member mesh
+	meshIn []*urpc.Channel               // inbound member mesh, ascending sender
+	out    map[topo.CoreID]*urpc.Channel // outbound member mesh
 
-	clients     []topo.CoreID // connected client cores, connect order
-	clientReq   map[topo.CoreID]*urpc.Channel
+	clientReq   []*urpc.Channel // inbound client requests, connect order
 	clientRsp   map[topo.CoreID]*urpc.Channel
 	clientProcs map[topo.CoreID]*sim.Proc
 
@@ -574,9 +574,7 @@ type syncBuffer struct {
 func newKVServer(cl *KVCluster, core topo.CoreID) *kvServer {
 	srv := &kvServer{
 		cl: cl, core: core,
-		in:          make(map[topo.CoreID]*urpc.Channel),
 		out:         make(map[topo.CoreID]*urpc.Channel),
-		clientReq:   make(map[topo.CoreID]*urpc.Channel),
 		clientRsp:   make(map[topo.CoreID]*urpc.Channel),
 		clientProcs: make(map[topo.CoreID]*sim.Proc),
 		data:        make(map[int]map[uint64]uint64),
@@ -604,62 +602,54 @@ func (srv *kvServer) busy() bool {
 	return len(srv.syncs) > 0
 }
 
+// run is the shard server's loop on a urpc.Poller. Mesh traffic is polled
+// before client requests: replication acks and anti-entropy answers unblock
+// pending client writes, and draining every ready repl message before any
+// snapshot is taken is what keeps a promoted backup's transfer a superset of
+// everything the dead primary published. The end of each pass drives pending
+// writes (send repl, collect acks, commit, demote laggards) and anti-entropy
+// transfers.
 func (srv *kvServer) run(p *sim.Proc) {
 	p.SetDaemon(true)
-	cl := srv.cl
-	idle := 0
-	var buf [16]urpc.Message
-	for {
-		progress := false
-		// 1) Mesh traffic first: replication acks and anti-entropy answers
-		// unblock pending client writes, and draining every ready repl
-		// message before any snapshot is taken is what keeps a promoted
-		// backup's transfer a superset of everything the dead primary
-		// published.
-		for _, src := range cl.members {
-			ch, ok := srv.in[src]
-			if !ok {
-				continue
-			}
-			n := ch.RecvAll(p, buf[:])
-			for i := 0; i < n; i++ {
-				srv.handleMesh(p, src, buf[i])
-			}
-			if n > 0 {
-				progress = true
-			}
-		}
-		// 2) Client requests.
-		for _, c := range srv.clients {
-			n := srv.clientReq[c].RecvAll(p, buf[:])
-			for i := 0; i < n; i++ {
-				srv.handleClient(p, c, buf[i])
-			}
-			if n > 0 {
-				progress = true
-			}
-		}
-		// 3) Drive pending writes (send repl, collect acks, commit, demote
-		// laggards) and anti-entropy transfers.
-		if srv.serviceWrites(p) {
-			progress = true
-		}
-		if srv.serviceSyncs(p) {
-			progress = true
-		}
-		p.Sleep(100)
-		if progress {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle < 40 || srv.busy() {
-			p.Sleep(400)
-			continue
-		}
-		p.Park()
-		idle = 0
+	pl := &urpc.Poller{
+		Burst:    16,
+		PassCost: 100,
+		IdleGap:  400,
+		Sections: []urpc.PollSection{
+			{Chans: &srv.meshIn, Handle: func(p *sim.Proc, i int, msgs []urpc.Message) {
+				for _, m := range msgs {
+					srv.handleMesh(p, srv.meshIn[i].Sender, m)
+				}
+			}},
+			{Chans: &srv.clientReq, Handle: func(p *sim.Proc, i int, msgs []urpc.Message) {
+				for _, m := range msgs {
+					srv.handleClient(p, srv.clientReq[i].Sender, m)
+				}
+			}},
+		},
+		EndDue: srv.serviceDue,
+		End: func(p *sim.Proc) bool {
+			w := srv.serviceWrites(p)
+			s := srv.serviceSyncs(p)
+			return w || s
+		},
+		Busy: srv.busy,
 	}
+	pl.Run(p)
+}
+
+// serviceDue reports whether serviceWrites or serviceSyncs could do anything:
+// when it is false, both are no-ops that charge nothing.
+func (srv *kvServer) serviceDue() bool {
+	if srv.busy() {
+		return true
+	}
+	for _, st := range srv.cl.shards {
+		if st.primary == srv.core && st.syncing && st.target >= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // primaryOf reports whether this core currently leads shard s (charging the
@@ -1012,8 +1002,7 @@ func (cl *KVCluster) Connect(core topo.CoreID) *ClusterClient {
 		c.req[m] = urpc.New(sys, core, m, urpc.Options{Slots: 8, Home: int(sys.Machine().Socket(m))})
 		c.rsp[m] = urpc.New(sys, m, core, urpc.Options{Slots: 8, Home: int(sys.Machine().Socket(core))})
 		srv := cl.byCore[m]
-		srv.clients = append(srv.clients, core)
-		srv.clientReq[core] = c.req[m]
+		srv.clientReq = append(srv.clientReq, c.req[m])
 		srv.clientRsp[core] = c.rsp[m]
 		// Parallel boot: a request arriving from a cross-partition client is
 		// the server's interrupt.

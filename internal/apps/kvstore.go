@@ -189,22 +189,17 @@ func (s *KVService) Connect(client topo.CoreID) *KVClient {
 	return &KVClient{req: req, rsp: rsp, bulk: bulk, svc: s, Timeout: DefaultKVTimeout}
 }
 
+// loop is the service's receive loop on a urpc.Poller. A burst dequeue
+// drains a client's whole request batch behind one check charge, and the
+// replies go back as one vectored send.
 func (s *KVService) loop(p *sim.Proc) {
-	idle := 0
-	var reqBuf [8]urpc.Message
 	var replies []urpc.Message
-	for {
-		progress := false
-		for i, req := range s.reqs {
-			// Burst dequeue: one check charge drains a client's whole request
-			// batch, and the replies go back as one vectored send.
-			n := req.RecvAll(p, reqBuf[:])
-			if n == 0 {
-				continue
-			}
-			progress = true
+	pl := &urpc.Poller{
+		Burst:   8,
+		IdleGap: 200,
+		Sections: []urpc.PollSection{{Chans: &s.reqs, Handle: func(p *sim.Proc, i int, msgs []urpc.Message) {
 			replies = replies[:0]
-			for _, m := range reqBuf[:n] {
+			for _, m := range msgs {
 				switch m[2] {
 				case kvOpRange:
 					cnt := s.serveRange(p, i, m[0], m[1])
@@ -226,19 +221,9 @@ func (s *KVService) loop(p *sim.Proc) {
 				}
 			}
 			s.rsps[i].SendBatch(p, replies)
-		}
-		if progress {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle < 40 {
-			p.Sleep(200)
-			continue
-		}
-		p.Park()
-		idle = 0
+		}}},
 	}
+	pl.Run(p)
 }
 
 // serveRange scans [lo, hi) and streams the matching row values to client i's
@@ -370,53 +355,6 @@ func (c *KVClient) Update(p *sim.Proc, key, val uint64) (bool, error) {
 		rec.Emit(uint64(p.Now()), trace.AsyncEnd, trace.SubApp, int32(c.req.Sender), "kv.update", id, m[1])
 	}
 	return m[1] == 1, nil
-}
-
-// SelectMany pipelines point SELECTs: keys go out as vectored batches sized
-// to the response ring (so the server can never block on a full reply ring),
-// and replies are drained in bursts. Results are positional; found[i] reports
-// whether keys[i] matched. On ErrChannelDead the returned slices hold the
-// results that arrived before the verdict.
-func (c *KVClient) SelectMany(p *sim.Proc, keys []uint64) (vals []uint64, found []bool, err error) {
-	window := c.rsp.Slots()
-	reqs := make([]urpc.Message, 0, window)
-	rbuf := make([]urpc.Message, window)
-	for len(keys) > 0 {
-		n := window
-		if n > len(keys) {
-			n = len(keys)
-		}
-		reqs = reqs[:0]
-		for _, k := range keys[:n] {
-			reqs = append(reqs, urpc.Message{k})
-		}
-		if c.req.SendBatchTimeout(p, reqs, c.Timeout) < len(reqs) {
-			c.fail()
-			return vals, found, ErrChannelDead
-		}
-		c.svc.wake()
-		got := 0
-		deadline := p.Now() + c.Timeout
-		for got < n {
-			k := c.rsp.RecvAll(p, rbuf[got:n])
-			if k == 0 {
-				if p.Now() >= deadline {
-					c.fail()
-					return vals, found, ErrChannelDead
-				}
-				p.Sleep(200)
-				continue
-			}
-			deadline = p.Now() + c.Timeout
-			for _, m := range rbuf[got : got+k] {
-				vals = append(vals, m[0])
-				found = append(found, m[1] == 1)
-			}
-			got += k
-		}
-		keys = keys[n:]
-	}
-	return vals, found, nil
 }
 
 // SelectRange performs a remote range SELECT over [lo, hi): the row values

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"multikernel/internal/interconnect"
@@ -23,12 +22,11 @@ type engineCase struct {
 // BootParallel on a single-partition ParallelEngine. A single partition keeps
 // driver-style tests valid — one proc may touch any core's state, exactly as
 // under the serial engine — while still exercising the parallel engine's
-// epoch grid and barrier machinery. The engine clamps workers to nparts
-// (sim.TestParallelWorkerClamp), so parallel_w2 repeats parallel_w1's run
-// rather than proving worker independence; ROADMAP item 3 lists dropping it.
-// Multi-partition behaviour, where every proc must live in the replica owning
-// its core, and the worker sweeps that can differ, are covered by
-// parallel_test.go and the expt boot workloads.
+// epoch grid and barrier machinery. It runs one worker: the engine clamps
+// workers to nparts (sim.TestParallelWorkerClamp), so more would repeat the
+// same run. Multi-partition behaviour, where every proc must live in the
+// replica owning its core, and the worker sweeps that can differ, are
+// covered by parallel_test.go and the expt boot workloads.
 func forEachEngine(t *testing.T, m *topo.Machine, fn func(t *testing.T, ec engineCase)) {
 	forEachEngineOpts(t, m, Options{}, fn)
 }
@@ -41,14 +39,11 @@ func forEachEngineOpts(t *testing.T, m *topo.Machine, opts Options, fn func(t *t
 		t.Cleanup(e.Close)
 		fn(t, engineCase{e: e, s: BootWith(e, m, opts), run: e.Run})
 	})
-	for _, w := range []int{1, 2} {
-		w := w
-		t.Run(fmt.Sprintf("parallel_w%d", w), func(t *testing.T) {
-			pm := topo.Partition(m, 1)
-			pe := sim.NewParallelEngine(1, interconnect.Lookahead(m, pm), 1, w)
-			t.Cleanup(pe.Close)
-			ps := BootParallel(pe, m, opts)
-			fn(t, engineCase{e: pe.Part(0), s: ps.Part(0), run: pe.Run})
-		})
-	}
+	t.Run("parallel_w1", func(t *testing.T) {
+		pm := topo.Partition(m, 1)
+		pe := sim.NewParallelEngine(1, interconnect.Lookahead(m, pm), 1, 1)
+		t.Cleanup(pe.Close)
+		ps := BootParallel(pe, m, opts)
+		fn(t, engineCase{e: pe.Part(0), s: ps.Part(0), run: pe.Run})
+	})
 }

@@ -10,8 +10,8 @@ import (
 // BenchmarkMonitorIdleSweep measures the host cost of a monitor's empty
 // polls, the bulk of the simulator's work on the agreement path. Each op
 // wakes every parked monitor of the booted 32-core AMD 8×4 machine at once;
-// each then makes its idleToBlock idle passes over its 31 inbound channels,
-// all empty, and parks again. ns/poll is host time per empty poll (one
+// each then makes its urpc.Poller's 40 idle passes over its 31 inbound
+// channels, all empty, and parks again. ns/poll is host time per empty poll (one
 // cache hit each, so the registry's hit count is the poll count), and
 // simevents/op the engine events an op dispatches, which is deterministic.
 func BenchmarkMonitorIdleSweep(b *testing.B) {

@@ -47,7 +47,6 @@ const (
 	marshalDelta = 12  // re-targeting an already-marshaled message in a fan-out
 	loopCost     = 8   // one pass of the dispatch loop bookkeeping
 	idleSleep    = 140 // gap between idle polling sweeps
-	idleToBlock  = 40  // idle sweeps before the monitor blocks
 	monitorSlots = 64  // inter-monitor channel ring size
 	recvBurst    = 4   // messages drained per peer per dispatch-loop pass
 )
@@ -354,13 +353,7 @@ func (m *Monitor) sendMany(p *sim.Proc, msgs []batchMsg) {
 
 // run is the monitor dispatch loop: poll local requests and every incoming
 // channel; block after a sustained idle period and wait for notification.
-//
-// Almost every pass finds nothing, so the pass itself is a state machine
-// (idlePass) that the proc runs under Spin: empty polls, the loop charge and
-// the idle sleep are engine callbacks, and the coroutine runs only for what
-// needs it — a local request, a sequence-word miss, a message, an expired
-// deadline, or the park. Virtual time is the same to the cycle as a pass
-// written as straight-line code with Sleeps.
+// The loop is a urpc.Poller, so its empty polls run as engine callbacks.
 func (m *Monitor) run(p *sim.Proc) {
 	p.SetDaemon(true)
 	if m.parked {
@@ -370,46 +363,40 @@ func (m *Monitor) run(p *sim.Proc) {
 		// byte-identical to an uninterrupted one.
 		m.unparked(p)
 	}
-	var burst [recvBurst]urpc.Message
-	s := &idlePass{m: m}
-	step := s.step
-	for {
-		if d, done := s.step(); !done {
-			p.Spin(d, step)
-		}
-		switch s.stage {
-		case passLocal:
+	pl := &urpc.Poller{
+		// Burst dequeue: one check charge drains up to recvBurst queued
+		// messages from a peer. The burst is capped so one chatty peer
+		// cannot starve the others in a single pass.
+		Burst:    recvBurst,
+		PassCost: loopCost,
+		IdleGap:  idleSleep,
+		Sections: []urpc.PollSection{{Chans: &m.inbox, Handle: func(p *sim.Proc, i int, msgs []urpc.Message) {
+			for _, msg := range msgs {
+				m.dispatch(p, m.inbox[i].Sender, msg)
+			}
+		}}},
+		LocalReady: func() bool { return m.local.Len() > 0 },
+		Local: func(p *sim.Proc) {
 			req, _ := m.local.TryPop()
 			m.startOp(p, req)
-			s.progress = true
-			s.i, s.stage = 0, passCheck
-		case passMiss, passMsg:
-			// Burst dequeue: one check charge drains up to recvBurst queued
-			// messages from this peer. The burst is capped so one chatty peer
-			// cannot starve the others in a single pass.
-			ch := m.inbox[s.i]
-			n := ch.RecvRest(p, burst[:], s.t0, s.stage == passMsg)
-			for i := 0; i < n; i++ {
-				m.dispatch(p, ch.Sender, burst[i])
-			}
-			if n > 0 {
-				s.progress = true
-			}
-			s.i++
-			s.stage = passCheck
-		case passDeadline:
+		},
+		EndDue: func() bool { return m.net.OpTimeout > 0 && m.deadlineDue() },
+		End: func(p *sim.Proc) bool {
 			m.checkDeadlines(p)
-			s.progress = true
-			p.Sleep(loopCost)
-			s.stage = passIdle
-		case passPark:
+			return true
+		},
+		// With fault tolerance armed, a monitor with outstanding protocol
+		// state must keep polling: its deadlines are its failure detector,
+		// and a blocked monitor would only wake on a message that a dead
+		// peer will never send.
+		Busy: func() bool { return m.net.OpTimeout > 0 && len(m.ops)+len(m.fwd) > 0 },
+		Park: func(p *sim.Proc) {
 			m.parked = true
 			p.Park()
 			m.unparked(p)
-			s.idle = 0
-			s.stage = passTop
-		}
+		},
 	}
+	pl.Run(p)
 }
 
 // unparked charges a blocked monitor's interrupt-driven wakeup: being
@@ -428,106 +415,6 @@ func (m *Monitor) unparked(p *sim.Proc) {
 		m.parked = true
 		p.Park()
 		m.parked = false
-	}
-}
-
-// passStage is a position in a monitor's polling pass. The stages up to
-// passIdle say what the pass does next; the rest say why it stopped and
-// handed control to the dispatch loop's coroutine.
-type passStage uint8
-
-const (
-	passTop   passStage = iota // start a pass: the local request queue
-	passCheck                  // start polling inbox[i]: the check charge
-	passProbe                  // the check elapsed: load inbox[i]'s sequence word
-	passRead                   // the load hit and its L1 charge elapsed: read it
-	passEnd                    // every channel polled: deadlines, loop charge
-	passIdle                   // the loop charge elapsed: next pass, sleep or park
-
-	passLocal    // a local request is queued
-	passMiss     // inbox[i]'s sequence-word load misses
-	passMsg      // inbox[i] holds a message
-	passDeadline // a fault-tolerance deadline expired
-	passPark     // idleToBlock idle passes in a row: block
-)
-
-// idlePass is the polling pass of Monitor.run as a state machine.
-type idlePass struct {
-	m        *Monitor
-	stage    passStage
-	i        int      // index into m.inbox of the channel being polled
-	t0       sim.Time // when inbox[i]'s check began
-	progress bool     // this pass did work
-	idle     int      // idle passes in a row
-}
-
-// step runs the pass from its stage to its next charge, which it returns, or
-// to a stage past passIdle (done). It charges no time and blocks on nothing
-// itself, so Spin runs it as an engine callback after each charge.
-func (s *idlePass) step() (sim.Time, bool) {
-	m := s.m
-	for {
-		switch s.stage {
-		case passTop:
-			s.progress = false
-			if m.local.Len() > 0 {
-				s.stage = passLocal
-				return 0, true
-			}
-			s.i, s.stage = 0, passCheck
-		case passCheck:
-			if s.i == len(m.inbox) {
-				s.stage = passEnd
-				continue
-			}
-			s.t0 = m.net.Eng.Now()
-			s.stage = passProbe
-			return urpc.RecvCheckCost, false
-		case passProbe:
-			if !m.inbox[s.i].ProbeSeq() {
-				s.stage = passMiss
-				return 0, true
-			}
-			s.stage = passRead
-			return m.net.Sys.Machine().Costs.L1Hit, false
-		case passRead:
-			if m.inbox[s.i].Pending() {
-				s.stage = passMsg
-				return 0, true
-			}
-			s.i++
-			s.stage = passCheck
-		case passEnd:
-			if m.net.OpTimeout > 0 && m.deadlineDue() {
-				s.stage = passDeadline
-				return 0, true
-			}
-			s.stage = passIdle
-			return loopCost, false
-		case passIdle:
-			if s.progress {
-				s.idle = 0
-				s.stage = passTop
-				continue
-			}
-			s.idle++
-			// With fault tolerance armed, a monitor with outstanding
-			// protocol state must keep polling: its deadlines are its
-			// failure detector, and a blocked monitor would only wake on a
-			// message that a dead peer will never send.
-			if s.idle < idleToBlock || (m.net.OpTimeout > 0 && len(m.ops)+len(m.fwd) > 0) {
-				s.stage = passTop
-				return idleSleep, false
-			}
-			// The park does not poll the channels again first, so a
-			// message whose sender found parked still false stays unread
-			// until the next wakeup. That lost wakeup is kept bit for bit
-			// here: closing it moves paper-figure numbers.
-			s.stage = passPark
-			return 0, true
-		default:
-			panic(fmt.Sprintf("monitor%d: idle pass stepped at stage %d", m.Core, s.stage))
-		}
 	}
 }
 

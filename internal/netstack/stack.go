@@ -345,13 +345,6 @@ func NewDriver(e *sim.Engine, sys *cache.System, nic *NIC, core topo.CoreID, app
 	return d
 }
 
-// AppPump returns a function the application proc may call to opportunistically
-// move frames from the driver link into its stack; blocking socket operations
-// do this automatically through the stack's poller.
-func (d *Driver) AppPump(app *Stack) func(p *sim.Proc) bool {
-	return app.PumpReady
-}
-
 func (d *Driver) loop(p *sim.Proc) {
 	idle := 0
 	for {

@@ -370,19 +370,21 @@ func (e *Engine) Run() {
 	e.runLoop()
 }
 
-// RunUntil processes events up to and including virtual time t.
+// RunUntil processes events up to and including virtual time t, then
+// advances the clock to t. A Stop ends it early and leaves the clock at the
+// event that called Stop, so a later Run or RunUntil resumes from there.
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
 	e.limit = t
 	e.runLoop()
 	e.limit = ^Time(0)
-	if e.now < t {
+	if !e.stopped && e.now < t {
 		e.now = t
 	}
 }
 
-// Stop makes Run return after the current event completes. It may be called
-// from engine callbacks or Procs.
+// Stop makes Run or RunUntil return after the current event completes. It
+// may be called from engine callbacks or Procs.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Deadlocked returns the names of non-daemon procs that are alive but parked

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -193,6 +194,36 @@ func TestStopAbortsRun(t *testing.T) {
 		t.Fatalf("ran %d iterations, want 5", n)
 	}
 	e.Close()
+}
+
+// A Stop inside RunUntil ends the run at the stopping event and leaves the
+// clock there: the events past it must still be ahead of the clock, so a
+// later RunUntil or Run dispatches them at their own times.
+func TestRunUntilAfterStop(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Close()
+	var ticks []Time
+	e.Spawn("ticker", func(p *Proc) {
+		for i := 0; i < 6; i++ {
+			p.Sleep(100)
+			ticks = append(ticks, p.Now())
+			if i == 1 {
+				e.Stop()
+			}
+		}
+	})
+	e.RunUntil(450)
+	if !slices.Equal(ticks, []Time{100, 200}) || e.Now() != 200 {
+		t.Fatalf("stopped RunUntil(450): ticks %v, now %d; want [100 200], 200", ticks, e.Now())
+	}
+	e.RunUntil(450)
+	if !slices.Equal(ticks, []Time{100, 200, 300, 400}) || e.Now() != 450 {
+		t.Fatalf("resumed RunUntil(450): ticks %v, now %d; want [100 200 300 400], 450", ticks, e.Now())
+	}
+	e.Run()
+	if !slices.Equal(ticks, []Time{100, 200, 300, 400, 500, 600}) {
+		t.Fatalf("after Run: ticks %v", ticks)
+	}
 }
 
 func TestCloseKillsLiveProcs(t *testing.T) {

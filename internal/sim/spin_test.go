@@ -172,8 +172,8 @@ func checkSpinCase(t *testing.T, tc spinCase) spinResult {
 // TestSpinMatchesSleepLoop is the exactness property of Spin: on random step
 // sequences it must reproduce the Sleep loop's clock, dispatched-event
 // count, heap high-water mark and dispatch order — with and without a
-// perturb hook, across RunUntil limits, after a Stop, and with a Kill issued
-// by the step at every possible step.
+// perturb hook, across RunUntil limits, after a Stop under Run or RunUntil,
+// and with a Kill issued by the step at every possible step.
 func TestSpinMatchesSleepLoop(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		for _, perturb := range []bool{false, true} {
@@ -189,10 +189,9 @@ func TestSpinMatchesSleepLoop(t *testing.T) {
 				kc := tc
 				kc.killAt = k
 				checkSpinCase(t, kc)
-				// Stop only under Run: RunUntil moves the clock to its
-				// limit even when a Stop ended it early, so a later event
-				// would then lie in the past (for Sleep as for Spin).
-				checkSpinCase(t, spinCase{seed: seed, perturb: perturb, stopAt: k})
+				sc := tc
+				sc.stopAt = k
+				checkSpinCase(t, sc)
 			}
 		}
 	}

@@ -194,6 +194,12 @@ func (c *Channel) remoteArrival() {
 	if c.OnRemoteDeliver != nil {
 		c.OnRemoteDeliver()
 	}
+	c.wakeBlocked()
+}
+
+// wakeBlocked delivers the IPI-cost wakeup a parked receiver is owed for
+// messages already in the ring.
+func (c *Channel) wakeBlocked() {
 	if w := c.blocked; w != nil && c.Pending() {
 		c.blocked = nil
 		c.stats.Notifies++
@@ -249,7 +255,6 @@ func (c *Channel) Send(p *sim.Proc, msg Message) {
 // pipelining" regime — the per-message cost approaches the slot write itself
 // as the in-flight depth approaches the ring size.
 func (c *Channel) SendBatch(p *sim.Proc, msgs []Message) {
-	rec := c.eng.Tracer()
 	// Kill audit: a sender fail-stopped mid-burst (Engine.Kill lands at one of
 	// the pushSlot yields) has already made some slot writes visible — their
 	// sequence words are published — but has not reached this burst's notify.
@@ -257,30 +262,26 @@ func (c *Channel) SendBatch(p *sim.Proc, msgs []Message) {
 	// are already there. The unwind path delivers the wakeup the slots have
 	// earned; on a normal return notify has cleared c.blocked and this is a
 	// no-op, so the fault-free path is cycle-identical.
-	defer func() {
-		if w := c.blocked; w != nil && c.Pending() {
-			c.blocked = nil
-			c.stats.Notifies++
-			c.mNotifies.Inc()
-			eng := c.eng
-			eng.After(c.sys.Machine().Costs.IPIDeliver, func() { eng.Wake(w) })
-		}
-	}()
+	defer c.wakeBlocked()
 	for len(msgs) > 0 {
 		c.waitSpace(p)
-		n := c.slots - int(c.sendSeq-c.sendAcked)
-		if n > len(msgs) {
-			n = len(msgs)
-		}
-		rec.Emit(uint64(p.Now()), trace.Begin, trace.SubURPC, int32(c.Sender), "urpc.send", 0, uint64(n))
-		p.Sleep(sendSetupCost)
-		for _, m := range msgs[:n] {
-			c.pushSlot(p, m)
-		}
-		c.notify(p)
-		rec.Emit(uint64(p.Now()), trace.End, trace.SubURPC, int32(c.Sender), "urpc.send", 0, 0)
-		msgs = msgs[n:]
+		msgs = msgs[c.pushBurst(p, msgs):]
 	}
+}
+
+// pushBurst writes as many of msgs as the ring has space for behind one
+// setup charge and one notify, and returns how many it wrote.
+func (c *Channel) pushBurst(p *sim.Proc, msgs []Message) int {
+	n := min(c.slots-int(c.sendSeq-c.sendAcked), len(msgs))
+	rec := c.eng.Tracer()
+	rec.Emit(uint64(p.Now()), trace.Begin, trace.SubURPC, int32(c.Sender), "urpc.send", 0, uint64(n))
+	p.Sleep(sendSetupCost)
+	for _, m := range msgs[:n] {
+		c.pushSlot(p, m)
+	}
+	c.notify(p)
+	rec.Emit(uint64(p.Now()), trace.End, trace.SubURPC, int32(c.Sender), "urpc.send", 0, 0)
+	return n
 }
 
 // InFlight returns the number of sent-but-unacknowledged messages under the
@@ -347,34 +348,15 @@ func (c *Channel) SendBatchTimeout(p *sim.Proc, msgs []Message, timeout sim.Time
 		return 0
 	}
 	deadline := p.Now() + timeout
-	rec := c.eng.Tracer()
 	sent := 0
 	// Same kill audit as SendBatch: an unwind mid-burst must still deliver the
 	// wakeup that already-published slots have earned.
-	defer func() {
-		if w := c.blocked; w != nil && c.Pending() {
-			c.blocked = nil
-			c.stats.Notifies++
-			c.mNotifies.Inc()
-			eng := c.eng
-			eng.After(c.sys.Machine().Costs.IPIDeliver, func() { eng.Wake(w) })
-		}
-	}()
+	defer c.wakeBlocked()
 	for len(msgs) > 0 {
 		if !c.waitSpaceTimeout(p, deadline) {
 			return sent
 		}
-		n := c.slots - int(c.sendSeq-c.sendAcked)
-		if n > len(msgs) {
-			n = len(msgs)
-		}
-		rec.Emit(uint64(p.Now()), trace.Begin, trace.SubURPC, int32(c.Sender), "urpc.send", 0, uint64(n))
-		p.Sleep(sendSetupCost)
-		for _, m := range msgs[:n] {
-			c.pushSlot(p, m)
-		}
-		c.notify(p)
-		rec.Emit(uint64(p.Now()), trace.End, trace.SubURPC, int32(c.Sender), "urpc.send", 0, 0)
+		n := c.pushBurst(p, msgs)
 		msgs = msgs[n:]
 		sent += n
 	}
@@ -476,10 +458,10 @@ func (c *Channel) RecvAll(p *sim.Proc, buf []Message) int {
 
 // RecvRest is RecvAll after its check charge, which began at t0. With ready
 // set, the caller has already made the first sequence-word load and found a
-// message: ProbeSeq hit, Costs.L1Hit elapsed, and Pending is true. A poller
-// that runs its empty polls as engine callbacks (monitor.Monitor) charges
-// RecvCheckCost and that load itself and enters here only on a miss (ready
-// false) or a message (ready true), so both paths share this one receive.
+// message: ProbeSeq hit, Costs.L1Hit elapsed, and Pending is true. Poller
+// runs its empty polls as engine callbacks: it charges RecvCheckCost and
+// that load itself and enters here only on a miss (ready false) or a message
+// (ready true), so both paths share this one receive.
 func (c *Channel) RecvRest(p *sim.Proc, buf []Message, t0 sim.Time, ready bool) int {
 	rec := c.eng.Tracer()
 	n := 0
